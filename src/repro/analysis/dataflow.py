@@ -570,7 +570,7 @@ class TaintConfig:
 
     #: raw-field reads: ``<receiver>.<field>`` where the receiver's last
     #: segment names a party subgraph.
-    source_fields: FrozenSet[str] = frozenset({"x", "y", "edge_index", "adj"})
+    source_fields: FrozenSet[str] = frozenset({"x", "x_op", "y", "edge_index", "adj"})
     source_receivers: FrozenSet[str] = frozenset({"graph", "g", "subgraph", "part", "parts"})
     #: attributes that *are* a party-data handle wherever they appear.
     source_handles: FrozenSet[str] = frozenset({"graph"})

@@ -283,6 +283,7 @@ DEFAULT_REGIME: Dict[str, int] = {
     "nnz": 1024,
     "nnz_mean": 1280,
     "nnz_adj": 768,
+    "nnz_x": 2048,
     "edges": 1280,
 }
 
@@ -532,10 +533,11 @@ class AbstractGraph:
     def __init__(self, dims: Dict[str, DimLike]) -> None:
         n, d_in, c = dims["n"], dims["d_in"], dims["c"]
         nnz, nnz_mean, nnz_adj = dims["nnz"], dims["nnz_mean"], dims["nnz_adj"]
-        edges = dims["edges"]
+        nnz_x, edges = dims["nnz_x"], dims["edges"]
         int_arr = AbstractArray((edges,), "int64")
         self.attrs: Dict[str, Any] = {
             "x": AbstractArray((n, d_in)),
+            "x_op": AbstractSparse((n, d_in), nnz_x, fused=True),
             "y": AbstractArray((n,), "int64"),
             "train_mask": AbstractArray((n,), "bool"),
             "val_mask": AbstractArray((n,), "bool"),

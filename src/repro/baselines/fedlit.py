@@ -208,20 +208,5 @@ class FedLITTrainer(FederatedTrainer):
         logits = client.model(self._typed_adjs[client.cid], Tensor(client.graph.x))
         return cross_entropy(logits, client.graph.y, client.graph.train_mask)
 
-    def evaluate(self, split: str = "test") -> float:
-        accs, counts = [], []
-        from repro.nn import accuracy
-
-        for c in self.clients:
-            mask = getattr(c.graph, f"{split}_mask")
-            n = int(mask.sum())
-            if n == 0:
-                continue
-            c.model.eval()
-            with no_grad():
-                logits = c.model(self._typed_adjs[c.cid], Tensor(c.graph.x))
-            accs.append(accuracy(logits, c.graph.y, mask))
-            counts.append(n)
-        if not counts:
-            return float("nan")
-        return float(np.average(accs, weights=counts))
+    def eval_logits(self, client) -> Tensor:
+        return client.model(self._typed_adjs[client.cid], Tensor(client.graph.x))

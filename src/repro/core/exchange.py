@@ -28,6 +28,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.moments import central_moments_np
 from repro.federated.comm import Communicator, KIND_MEANS, KIND_MOMENTS
 from repro.federated.server import weighted_mean_statistics
 from repro.obs import get_tracer
@@ -149,15 +150,13 @@ class MomentExchange:
                 zip(client_ids, client_hidden, client_counts)
             ):
                 g_means = means_per_client[i]
-                layer_moms = []
-                for l, z in enumerate(hidden):
-                    centered = np.asarray(z, dtype=np.float64) - g_means[l]
-                    layer_moms.append(
-                        [
-                            self._perturb_statistic((centered**j).mean(axis=0), float(n_i))
-                            for j in self.orders
-                        ]
-                    )
+                layer_moms = [
+                    [
+                        self._perturb_statistic(moment, float(n_i))
+                        for moment in central_moments_np(z, g_means[l], self.orders)
+                    ]
+                    for l, z in enumerate(hidden)
+                ]
                 received2.append(
                     self.comm.send_to_server(
                         cid, {"moments": layer_moms, "n": float(n_i)}, kind=KIND_MOMENTS
@@ -189,6 +188,8 @@ def pooled_central_moments(
 
     What a privacy-free oracle would compute by concatenating all
     parties' activations; the exchange must reproduce this exactly.
+    Deliberately the simple form (one ``**j`` per order), the reference
+    the exchange's incremental powers are tested against.
     """
     num_layers = len(client_hidden[0])
     means, moments = [], []

@@ -38,18 +38,25 @@ def central_moments_np(
 
     ``mean`` may be the *local* mean (line 6, giving C_j) or the *global*
     mean received from the server (line 13, giving the S_j summands).
+    Powers are built incrementally (c^j = c^(j-1)·c), one multiply per
+    order up to the largest requested.
     """
     z = np.asarray(z, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     if z.ndim != 2 or mean.shape != (z.shape[1],):
         raise ValueError("z must be (n, d) and mean (d,)")
+    if any(j < 1 for j in orders):
+        raise ValueError("moment orders must be >= 1")
     centered = z - mean
-    out = []
-    for j in orders:
-        if j < 1:
-            raise ValueError("moment orders must be >= 1")
-        out.append((centered**j).mean(axis=0))
-    return out
+    wanted = set(orders)
+    by_order = {}
+    power = centered
+    for j in range(1, max(orders, default=0) + 1):
+        if j > 1:
+            power = power * centered
+        if j in wanted:
+            by_order[j] = power.mean(axis=0)
+    return [by_order[j] for j in orders]
 
 
 def layer_means(hidden: Sequence[Tensor]) -> List[Tensor]:

@@ -434,8 +434,7 @@ class AsyncRoundEngine:
 
             if round_idx % cfg.eval_every == 0:
                 with tracer.span("eval", round=round_idx, phase="eval") as sp_eval:
-                    val_acc = trainer.evaluate("val")
-                    test_acc = trainer.evaluate("test")
+                    val_acc, test_acc = trainer.evaluate(("val", "test"))
                 losses = [
                     loss
                     for _, client_losses in sorted(self._round_losses)

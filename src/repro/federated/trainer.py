@@ -22,7 +22,7 @@ validation accuracy with the paper's patience of 200.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,6 +45,14 @@ from repro.federated.server import fedavg
 from repro.graphs.data import Graph
 from repro.nn.module import Module
 from repro.obs import get_registry, get_tracer
+
+
+def _node_weighted(scores: Sequence[tuple]) -> float:
+    """Node-weighted mean of per-party ``(accuracy, count)`` pairs."""
+    scored = [(acc, n) for acc, n in scores if n > 0]
+    if not scored:
+        return float("nan")
+    return float(np.average([acc for acc, _ in scored], weights=[n for _, n in scored]))
 
 
 @dataclass
@@ -343,19 +351,30 @@ class FederatedTrainer:
         for client, state in zip(self.clients, self.comm.broadcast(w0, kind=KIND_WEIGHTS)):
             client.set_state(state)
 
-    def evaluate(self, split: str = "test") -> float:
-        """Node-weighted average accuracy across parties."""
+    def eval_logits(self, client: Client) -> Tensor:
+        """One client's logits for evaluation (run in eval mode, no grad).
+
+        The single per-client hook of :meth:`evaluate`; trainers whose
+        model takes other inputs than the party graph override it.
+        """
+        return client.model(client.graph)
+
+    def evaluate(self, split: Union[str, Sequence[str]] = "test") -> Union[float, tuple]:
+        """Node-weighted average accuracy across parties.
+
+        ``split`` is one mask name (returns a float) or a sequence of
+        them (returns a tuple of floats in the same order); every split
+        is scored from one forward per client.
+        """
+        splits = (split,) if isinstance(split, str) else tuple(split)
         results = self.executor.map(
-            lambda c: c.evaluate(split),
+            lambda c: c.evaluate_splits(splits, self.eval_logits),
             self.clients,
             span="client.eval",
-            attrs=lambda c: {"client": c.cid, "split": split},
+            attrs=lambda c: {"client": c.cid, "split": ",".join(splits)},
         )
-        accs = [acc for acc, n in results if n > 0]
-        counts = [n for _, n in results if n > 0]
-        if not counts:
-            return float("nan")
-        return float(np.average(accs, weights=counts))
+        accs = tuple(_node_weighted(column) for column in zip(*results))
+        return accs[0] if isinstance(split, str) else accs
 
     def _train_participants(self) -> List[float]:
         """Local epochs for every participant; losses in client order.
@@ -475,8 +494,7 @@ class FederatedTrainer:
 
                 if round_idx % cfg.eval_every == 0:
                     with tracer.span("eval", round=round_idx, phase="eval") as sp_eval:
-                        val_acc = self.evaluate("val")
-                        test_acc = self.evaluate("test")
+                        val_acc, test_acc = self.evaluate(("val", "test"))
                     finite = [l for l in losses if np.isfinite(l)]
                     self.history.append(
                         RoundRecord(

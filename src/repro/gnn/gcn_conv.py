@@ -28,6 +28,11 @@ class GCNConv(Module):
     O(n·d_in·d_out + nnz·d_out); the other order would pay
     O(nnz·d_in + n·d_in·d_out) — cheaper only when d_out > d_in, so we
     pick per-call based on the shapes.
+
+    ``z`` may also be a kernel operator — the input layer receives the
+    graph's sparse features ``graph.x_op`` — and then ``Z W`` is a
+    second ``spmm`` over the feature nonzeros: O(nnz(X)·d_out) instead
+    of O(n·d_in·d_out), with ``dW = Xᵀ G`` from the cached reverse-CSR.
     """
 
     def __init__(
@@ -47,8 +52,10 @@ class GCNConv(Module):
         self.weight = Parameter(init_mod.get(init)(in_features, out_features, gen))
         self.bias = Parameter(init_mod.zeros(out_features)) if bias else None
 
-    def forward(self, s_norm: "SparseOperand", z: Tensor) -> Tensor:
-        if self.out_features <= self.in_features:
+    def forward(self, s_norm: "SparseOperand", z) -> Tensor:
+        if getattr(z, "is_kernel_operator", False):
+            out = spmm(s_norm, spmm(z, self.weight))
+        elif self.out_features <= self.in_features:
             out = spmm(s_norm, matmul(z, self.weight))
         else:
             out = matmul(spmm(s_norm, z), self.weight)

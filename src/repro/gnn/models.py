@@ -11,7 +11,9 @@ Every model exposes two entry points:
 Models receive the :class:`~repro.graphs.data.Graph` (not raw tensors)
 so each can pick its propagation operator: GCN/Ortho use ``graph.s_op``
 (the cached fused-kernel CSR container of S̃), SAGE uses ``graph.mean_op``
-(the row-normalized mean aggregator).  The containers are built once per
+(the row-normalized mean aggregator).  GCN/Ortho also read their input
+through ``graph.x_op``, the sparse container of the features, so the
+first layer multiplies only the bag-of-words nonzeros.  The containers are built once per
 graph with a pre-transposed reverse-CSR, so propagation never pays a
 sparse conversion — forward or backward — after the first touch.
 """
@@ -80,7 +82,7 @@ class GCN(Module):
 
     def forward_with_hidden(self, graph: Graph) -> Tuple[Tensor, List[Tensor]]:
         s = graph.s_op
-        h = relu(self.conv1(s, Tensor(graph.x)))
+        h = relu(self.conv1(s, graph.x_op))
         hid = [h]
         h = dropout(h, self.dropout_p, rng=self._rng, training=self.training)
         return self.conv2(s, h), hid
@@ -273,7 +275,7 @@ class OrthoGCN(Module):
 
     def forward_with_hidden(self, graph: Graph) -> Tuple[Tensor, List[Tensor]]:
         s = graph.s_op
-        h = relu(self.conv_in(s, Tensor(graph.x)))
+        h = relu(self.conv_in(s, graph.x_op))
         hidden = [h]
         for layer in self.ortho_layers:
             h = dropout(h, self.dropout_p, rng=self._rng, training=self.training)

@@ -1,11 +1,16 @@
 """The :class:`Graph` container used throughout the reproduction.
 
-One immutable-ish record per (sub)graph: features ``x`` (dense float
-array — the bag-of-words features are sparse in spirit but small enough
-dense), CSR adjacency ``adj`` (symmetric, no self loops), integer labels
+One immutable-ish record per (sub)graph: features ``x`` (a dense float
+array), CSR adjacency ``adj`` (symmetric, no self loops), integer labels
 ``y``, and optional boolean train/val/test masks.  The normalized
 propagation matrix ``s_norm`` (the paper's S̃) is computed lazily and
 cached, since every GCN forward needs it and it never changes.
+
+The bag-of-words features of the citation twins are about 1 % nonzero,
+so the GCN input layers read them through ``x_op`` — a cached
+:class:`~repro.graphs.csr.CSRMatrix` of ``x`` — and multiply only the
+nonzeros.  ``x`` stays dense for every other consumer (MLP/SAGE/GAT
+inputs, statistics, partitioning).
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ class Graph:
     Attributes
     ----------
     x:
-        ``(n, f)`` float feature matrix.
+        ``(n, f)`` float feature matrix.  :attr:`x_op` is its cached
+        sparse form (the GCN input-layer operand).
     adj:
         ``(n, n)`` symmetric CSR adjacency with zero diagonal.
     y:
@@ -59,6 +65,7 @@ class Graph:
     _edge_index: Optional[tuple] = field(default=None, repr=False, compare=False)
     _s_op: Optional["CSRMatrix"] = field(default=None, repr=False, compare=False)
     _mean_op: Optional["CSRMatrix"] = field(default=None, repr=False, compare=False)
+    _x_op: Optional["CSRMatrix"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -144,6 +151,22 @@ class Graph:
 
             self._mean_op = CSRMatrix.from_scipy(self.mean_adj)
         return self._mean_op
+
+    @property
+    def x_op(self) -> "CSRMatrix":
+        """Cached :class:`~repro.graphs.csr.CSRMatrix` of the features ``x``.
+
+        The sparse input operand of the GCN layers: ``spmm(x_op, W)`` is
+        ``X W`` over the nonzeros only, and its backward ``Xᵀ G`` (the
+        weight gradient) runs through the reverse-CSR built here once.
+        ``x`` must not be mutated after the first access.
+        """
+        _meter_csr_cache("x_op", hit=self._x_op is not None)
+        if self._x_op is None:
+            from repro.graphs.csr import CSRMatrix
+
+            self._x_op = CSRMatrix.from_scipy(sp.csr_matrix(self.x))
+        return self._x_op
 
     @property
     def edge_index(self) -> tuple:

@@ -139,7 +139,11 @@ PINNED_POPS = [
     (2, 0, 2), (3, 0, 3), (1, 0, 1), (0, 0, 0),
     (1, 1, 5), (2, 1, 6), (0, 1, 4), (3, 1, 7),
 ]
-PINNED_RACY_DIGEST = "2edf23a26203bebde9da2ba15a21892f"
+# The digest hashes raw weight bytes, so last-bit rounding moves it.  It
+# was 2edf23a26203bebde9da2ba15a21892f while the GCN input layer
+# multiplied dense features; the sparse X·W (graph.x_op) rounds
+# differently.  The identity-equivalence tests above pin the semantics.
+PINNED_RACY_DIGEST = "4d700f99ce90cf2539098583b861da82"
 
 
 class TestSeededRegression:

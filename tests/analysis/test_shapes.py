@@ -105,6 +105,7 @@ def graph_bindings(g: Graph) -> dict:
         "nnz": int(g.s_op.nnz),
         "nnz_mean": int(g.mean_op.nnz),
         "nnz_adj": int(g.adj.nnz),
+        "nnz_x": int(g.x_op.nnz),
         "edges": int(g.edge_index[0].shape[0]),
     }
 

@@ -134,6 +134,46 @@ class TestElementwise:
         assert gradcheck(lambda x, y: maximum(x, y).sum(), [a, b])
 
 
+class TestIntegerPower:
+    """Integer exponents multiply repeatedly; ``np.power`` is the reference."""
+
+    X = np.array(
+        [-3.7, -1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 2.5, 1e70, -1e70, 1e200, -1e200,
+         np.inf, -np.inf, np.nan]
+    )
+
+    @staticmethod
+    def _agree(got, want):
+        # Same inf/nan pattern (and sign of inf and of zero), values to a few ulp.
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        both = ~np.isnan(want)
+        np.testing.assert_array_equal(np.signbit(got[both]), np.signbit(want[both]))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_forward_and_backward_match_np_power(self, k):
+        x = Tensor(self.X.copy(), requires_grad=True)
+        grad = np.random.default_rng(k).standard_normal(self.X.shape)
+        with np.errstate(all="ignore"):
+            out = power(x, k)
+            out.backward(grad)
+            want_out = np.power(self.X, float(k))
+            want_grad = grad * float(k) * np.power(self.X, k - 1.0)
+        assert np.isinf(out.data[self.X == 1e200]).all()  # c^k overflows
+        self._agree(out.data, want_out)
+        self._agree(x.grad, want_grad)
+
+    def test_op_name_keeps_float_exponent(self):
+        assert power(rand_t(2, 2), 3)._op == "pow3.0"
+
+    def test_non_integer_exponent_is_np_power(self):
+        a = rand_t(3, 4, positive=True)
+        np.testing.assert_array_equal(power(a, 2.5).data, np.power(a.data, 2.5))
+        assert gradcheck(lambda x: power(x, 2.5).sum(), [a])
+
+
 class TestMatmul:
     def test_matmul(self):
         a, b = rand_t(4, 3), rand_t(3, 5)

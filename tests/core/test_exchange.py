@@ -151,3 +151,39 @@ class TestExchangeProtocol:
         assert got.orders == (2, 4)
         assert len(got.moments[0]) == 2
         assert got.num_layers == 2
+
+
+class TestIncrementalMoments:
+    """Incremental powers (c^j = c^(j-1)·c) against the ``**j`` oracle."""
+
+    @staticmethod
+    def _close(got, want, rtol=1e-12):
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) <= rtol * scale
+
+    @pytest.mark.parametrize("orders", [(2, 3, 4, 5), (5, 3), (2, 4, 6, 8)])
+    def test_exchange_matches_pooled_oracle(self, orders):
+        rng = np.random.default_rng(31)
+        # Post-ReLU activations: nonnegative with exact zeros, uneven parties.
+        hidden = [
+            [np.maximum(rng.standard_normal((n, 6)) + 0.3 * i, 0.0) for _ in range(2)]
+            for i, n in enumerate((7, 40, 121, 13))
+        ]
+        counts = [h[0].shape[0] for h in hidden]
+        got = MomentExchange(Communicator(num_clients=4), orders=orders).run(hidden, counts)
+        want = pooled_central_moments(hidden, orders)
+        for l in range(2):
+            self._close(got.means[l], want.means[l])
+            for a, b in zip(got.moments[l], want.moments[l]):
+                self._close(a, b)
+
+    def test_central_moments_np_any_order_sequence(self):
+        from repro.core.moments import central_moments_np
+
+        z = np.random.default_rng(32).standard_normal((50, 3))
+        mean = z.mean(axis=0) + 0.1
+        orders = [5, 2, 2, 3, 1]
+        got = central_moments_np(z, mean, orders)
+        for j, m in zip(orders, got):
+            self._close(m, ((z - mean) ** j).mean(axis=0), rtol=1e-13)
+        assert central_moments_np(z, mean, []) == []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines.fedlit import FedLITTrainer
 from repro.federated import Client, FederatedTrainer, TrainerConfig
 from repro.federated.history import RoundRecord, TrainingHistory
 from repro.gnn import GCN
@@ -144,6 +145,35 @@ class TestTrainerLoop:
             TrainerConfig(max_rounds=0)
         with pytest.raises(ValueError):
             TrainerConfig(patience=0)
+
+
+class TestMultiSplitEvaluate:
+    """``evaluate(("val", "test"))``: one forward per client, same numbers."""
+
+    @pytest.mark.parametrize("cls", [FederatedTrainer, FedLITTrainer], ids=["fedavg", "fedlit"])
+    def test_matches_single_split_calls_with_one_forward(self, parts, cls, monkeypatch):
+        tr = cls(parts, TrainerConfig(max_rounds=2, patience=10, hidden=16), seed=0)
+        tr.run()
+        model_cls = type(tr.clients[0].model)
+        real_forward = model_cls.forward
+        calls = []
+
+        def counting_forward(self, *args, **kwargs):
+            calls.append(self)
+            return real_forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(model_cls, "forward", counting_forward)
+        both = tr.evaluate(("val", "test"))
+        assert len(calls) == len(tr.clients)
+        calls.clear()
+        single = (tr.evaluate("val"), tr.evaluate("test"))
+        assert len(calls) == 2 * len(tr.clients)
+        assert isinstance(both, tuple)
+        assert np.array(both).tobytes() == np.array(single).tobytes()
+
+    def test_single_split_sequence_returns_tuple(self, parts):
+        tr = FederatedTrainer(parts, TrainerConfig(max_rounds=1, hidden=16), seed=0)
+        assert tr.evaluate(["test"]) == (tr.evaluate("test"),)
 
 
 class TestHistory:

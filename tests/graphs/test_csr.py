@@ -122,7 +122,11 @@ class TestReverse:
 
 
 class TestTransposeCacheRegression:
-    """Exactly one transpose conversion per graph across a multi-round run."""
+    """Exactly one transpose conversion per cached operator across a run.
+
+    A GCN touches two operators of its graph: ``s_op`` (propagation) and
+    ``x_op`` (the sparse input features); SAGE touches ``mean_op``.
+    """
 
     def _train(self, model_name, graph, steps=6):
         from repro.gnn import GCN, SAGE
@@ -144,9 +148,10 @@ class TestTransposeCacheRegression:
         graph = _small_graph()
         reset_transpose_conversion_count()
         self._train("gcn", graph)
-        # One conversion for graph.s_op's reverse-CSR — not one per
-        # layer per forward call as the pre-substrate spmm paid.
-        assert transpose_conversion_count() == 1
+        # One conversion each for the reverse-CSRs of graph.s_op and
+        # graph.x_op — not one per layer per forward call as the
+        # pre-substrate spmm paid.
+        assert transpose_conversion_count() == 2
 
     def test_sage_multi_round_converts_once(self):
         graph = _small_graph(seed=1)
@@ -159,7 +164,8 @@ class TestTransposeCacheRegression:
         reset_transpose_conversion_count()
         self._train("gcn", graph)
         self._train("sage", graph)
-        assert transpose_conversion_count() == 2
+        # s_op and x_op (GCN), mean_op (SAGE).
+        assert transpose_conversion_count() == 3
 
     def test_legacy_scipy_path_converts_once(self):
         # Raw scipy operands (no CSRMatrix) cache the reverse on the
@@ -176,4 +182,4 @@ class TestTransposeCacheRegression:
         reset_transpose_conversion_count()
         for seed in range(3):
             self._train("gcn", _small_graph(seed=seed), steps=2)
-        assert transpose_conversion_count() == 3
+        assert transpose_conversion_count() == 6
