@@ -34,7 +34,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd import Tensor, no_grad, relu
+from repro.autograd import Tensor, concat, no_grad, relu
 from repro.federated.trainer import FederatedTrainer, TrainerConfig
 from repro.graphs.data import Graph
 from repro.graphs.laplacian import normalized_adjacency
@@ -208,5 +208,11 @@ class FedLITTrainer(FederatedTrainer):
         logits = client.model(self._typed_adjs[client.cid], Tensor(client.graph.x))
         return cross_entropy(logits, client.graph.y, client.graph.train_mask)
 
-    def eval_logits(self, client) -> Tensor:
-        return client.model(self._typed_adjs[client.cid], Tensor(client.graph.x))
+    def eval_logits(self, clients) -> Tensor:
+        # The typed adjacencies are per party, so each member runs its own
+        # forward; the rows are stacked in member order.
+        logits = []
+        for c in clients:
+            c.model.eval()
+            logits.append(c.model(self._typed_adjs[c.cid], Tensor(c.graph.x)))
+        return concat(logits)

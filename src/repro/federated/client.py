@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -91,37 +91,21 @@ class Client:
     def evaluate(self, split: str = "test") -> tuple[float, int]:
         """(accuracy, #nodes) on the local ``split`` mask.
 
-        Returns count 0 (accuracy NaN) when the mask is empty, so the
-        caller can take a well-defined weighted average across parties.
+        Returns count 0 (accuracy NaN) without a forward when the mask
+        is empty, so the caller can take a well-defined weighted average
+        across parties.  The per-party reference of
+        :meth:`FederatedTrainer.evaluate`.
         """
-        return self.evaluate_splits((split,))[0]
-
-    def evaluate_splits(
-        self,
-        splits: Sequence[str],
-        logits_fn: Optional[Callable[["Client"], Tensor]] = None,
-    ) -> List[tuple[float, int]]:
-        """(accuracy, #nodes) per split, all from one eval-mode forward.
-
-        ``logits_fn(client)`` computes the logits (default: the model on
-        the private graph).  No forward runs when every mask is empty.
-        """
-        masks = []
-        for split in splits:
-            mask = getattr(self.graph, f"{split}_mask")
-            if mask is None:
-                raise ValueError(f"graph has no {split} mask")
-            masks.append(mask)
-        counts = [int(mask.sum()) for mask in masks]
-        if not any(counts):
-            return [(float("nan"), 0)] * len(splits)
+        mask = getattr(self.graph, f"{split}_mask")
+        if mask is None:
+            raise ValueError(f"graph has no {split}_mask")
+        count = int(mask.sum())
+        if count == 0:
+            return float("nan"), 0
         self.model.eval()
         with no_grad():
-            logits = self.model(self.graph) if logits_fn is None else logits_fn(self)
-        return [
-            (accuracy(logits, self.graph.y, mask), count) if count else (float("nan"), 0)
-            for mask, count in zip(masks, counts)
-        ]
+            logits = self.model(self.graph)
+        return accuracy(logits, self.graph.y, mask), count
 
     # -- model state movement ---------------------------------------------
     def get_state(self) -> Dict[str, np.ndarray]:

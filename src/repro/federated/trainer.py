@@ -3,7 +3,7 @@
 :class:`FederatedTrainer` implements the three-phase protocol of §3
 (Figure 2): distribute global model → local training → aggregate.
 Algorithm subclasses (FedOMD in :mod:`repro.core.fedomd`, baselines in
-:mod:`repro.baselines`) override four hooks:
+:mod:`repro.baselines`) override five hooks:
 
 * :meth:`build_model` — the local architecture.
 * :meth:`local_loss` — the per-step objective (default: cross-entropy).
@@ -11,12 +11,16 @@ Algorithm subclasses (FedOMD in :mod:`repro.core.fedomd`, baselines in
   moment exchange, SCAFFOLD's control-variate download, …).
 * :meth:`aggregate` — server combination (default: sample-weighted
   FedAvg; LocGCN returns ``None`` to skip aggregation entirely).
+* :meth:`eval_logits` — the stacked evaluation logits of one group of
+  identically-weighted clients (FedLIT feeds its per-type adjacencies).
 
 The loop runs ``max_rounds`` communication rounds with
 ``local_epochs`` optimizer steps per client per round (the paper's
 communication interval of 1 means one local epoch per round), evaluates
-the weighted cross-party accuracy every round, and early-stops on
-validation accuracy with the paper's patience of 200.
+the node-weighted cross-party accuracy every round — one forward per
+group of clients with bitwise-identical weights, over the union of their
+graphs — and early-stops on validation accuracy with the paper's
+patience of 200.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad
 from repro.federated.client import Client
 from repro.federated.clock import Clock, SystemClock, VirtualClock
 from repro.federated.comm import Communicator, KIND_WEIGHTS
@@ -43,6 +47,7 @@ from repro.federated.faults import (
 from repro.federated.history import RoundRecord, TrainingHistory
 from repro.federated.server import fedavg
 from repro.graphs.data import Graph
+from repro.graphs.union import GraphUnion
 from repro.nn.module import Module
 from repro.obs import get_registry, get_tracer
 
@@ -53,6 +58,46 @@ def _node_weighted(scores: Sequence[tuple]) -> float:
     if not scored:
         return float("nan")
     return float(np.average([acc for acc, _ in scored], weights=[n for _, n in scored]))
+
+
+#: Parameters above this many bytes are compared in place, not copied out.
+_INLINE_BYTES = 1 << 15
+
+
+def _same_words(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality of two float64 arrays: ``-0.0`` differs from ``0.0``, NaN matches its bits."""
+    return bool(np.array_equal(*(np.ascontiguousarray(v).view(np.uint64) for v in (a, b))))
+
+
+def _weight_groups(clients: Sequence[Client]) -> List[List[int]]:
+    """Positions of ``clients`` grouped by bitwise-identical parameters.
+
+    Groups come in order of first appearance, members in client order.
+    Parameters are float64 (the :class:`Tensor` contract).  A client's
+    key is its parameter shapes plus the bytes of every parameter up to
+    ``_INLINE_BYTES``, so grouping is one dict lookup per client; larger
+    parameters are then checked word for word against the group's first
+    member.
+    """
+    buckets: Dict[tuple, List[tuple]] = {}
+    groups: List[List[int]] = []
+    for pos, client in enumerate(clients):
+        # The optimizer's list is the model's parameters, already walked once.
+        params = [p.data for p in client.optimizer.params]
+        key = (
+            tuple(p.shape for p in params),
+            b"".join([p.tobytes() for p in params if p.nbytes <= _INLINE_BYTES]),
+        )
+        large = [p for p in params if p.nbytes > _INLINE_BYTES]
+        bucket = buckets.setdefault(key, [])
+        for rep, members in bucket:
+            if all(map(_same_words, rep, large)):
+                members.append(pos)
+                break
+        else:
+            bucket.append((large, [pos]))
+            groups.append(bucket[-1][1])
+    return groups
 
 
 @dataclass
@@ -351,30 +396,77 @@ class FederatedTrainer:
         for client, state in zip(self.clients, self.comm.broadcast(w0, kind=KIND_WEIGHTS)):
             client.set_state(state)
 
-    def eval_logits(self, client: Client) -> Tensor:
-        """One client's logits for evaluation (run in eval mode, no grad).
+    def eval_logits(self, clients: Sequence[Client]) -> Tensor:
+        """Stacked logits of one group of identically-weighted clients.
 
-        The single per-client hook of :meth:`evaluate`; trainers whose
-        model takes other inputs than the party graph override it.
+        The single model-facing hook of :meth:`evaluate`, called under
+        ``no_grad``: rows follow :class:`~repro.graphs.union.GraphUnion`
+        order (client by client).  The default runs the first member's
+        model once, in eval mode, over the union of the members' graphs;
+        trainers whose model takes other inputs than the party graph
+        override it.
         """
-        return client.model(client.graph)
+        model = clients[0].model
+        model.eval()
+        return model(GraphUnion([c.graph for c in clients]))
 
     def evaluate(self, split: Union[str, Sequence[str]] = "test") -> Union[float, tuple]:
         """Node-weighted average accuracy across parties.
 
         ``split`` is one mask name (returns a float) or a sequence of
-        them (returns a tuple of floats in the same order); every split
-        is scored from one forward per client.
+        them (returns a tuple of floats in the same order).  Clients
+        whose parameters are bitwise identical form one group, and each
+        group is scored from one :meth:`eval_logits` forward over the
+        union of its members' graphs: per-party hits are a ``bincount``
+        of correct rows over the union's owner index.  A party whose
+        requested masks are all empty adds no rows, and a group of such
+        parties runs no forward.  Every accuracy is bitwise the one
+        :meth:`Client.evaluate` computes for the party alone, unless a
+        node's top class scores tie to within the last-bit rounding of a
+        dense product over more rows (see :mod:`repro.graphs.union`).
         """
         splits = (split,) if isinstance(split, str) else tuple(split)
-        results = self.executor.map(
-            lambda c: c.evaluate_splits(splits, self.eval_logits),
-            self.clients,
-            span="client.eval",
-            attrs=lambda c: {"client": c.cid, "split": ",".join(splits)},
+        counts = []
+        for name in splits:
+            masks = [getattr(c.graph, f"{name}_mask") for c in self.clients]
+            if any(m is None for m in masks):
+                raise ValueError(f"graph has no {name}_mask")
+            counts.append([np.count_nonzero(m) for m in masks])
+        counts = np.array(counts, dtype=np.int64)
+        active = np.flatnonzero(counts.any(axis=0))
+        groups = [
+            active[members]
+            for members in _weight_groups([self.clients[i] for i in active])
+        ]
+
+        def group_hits(group: np.ndarray) -> np.ndarray:
+            members = [self.clients[i] for i in group]
+            with no_grad():
+                logits = self.eval_logits(members)
+            union = GraphUnion([c.graph for c in members])
+            correct = logits.data.argmax(axis=1) == union.y
+            return np.array([
+                np.bincount(
+                    union.owner[correct & getattr(union, f"{name}_mask")],
+                    minlength=len(group),
+                )
+                for name in splits
+            ])
+
+        per_group = self.executor.map(
+            group_hits,
+            groups,
+            span="group.eval",
+            attrs=lambda g: {"clients": len(g), "split": ",".join(splits)},
         )
-        accs = tuple(_node_weighted(column) for column in zip(*results))
-        return accs[0] if isinstance(split, str) else accs
+        hits = np.zeros_like(counts)
+        for group, group_hit in zip(groups, per_group):
+            hits[:, group] = group_hit
+        accs = np.divide(hits, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
+        scores = tuple(
+            _node_weighted(zip(acc.tolist(), n.tolist())) for acc, n in zip(accs, counts)
+        )
+        return scores[0] if isinstance(split, str) else scores
 
     def _train_participants(self) -> List[float]:
         """Local epochs for every participant; losses in client order.

@@ -9,6 +9,7 @@ the identical Louvain-cut / split pipeline.
 
 from repro.graphs.data import Graph
 from repro.graphs.csr import CSRMatrix
+from repro.graphs.union import GraphUnion
 from repro.graphs.laplacian import normalized_adjacency, add_self_loops
 from repro.graphs.sbm import dc_sbm
 from repro.graphs.features import class_conditional_features
@@ -29,6 +30,7 @@ from repro.graphs.metrics_noniid import (
 __all__ = [
     "Graph",
     "CSRMatrix",
+    "GraphUnion",
     "normalized_adjacency",
     "add_self_loops",
     "dc_sbm",

@@ -148,12 +148,20 @@ class TestTrainerLoop:
 
 
 class TestMultiSplitEvaluate:
-    """``evaluate(("val", "test"))``: one forward per client, same numbers."""
+    """``evaluate(("val", "test"))``: one forward per weight state, same numbers."""
 
-    @pytest.mark.parametrize("cls", [FederatedTrainer, FedLITTrainer], ids=["fedavg", "fedlit"])
-    def test_matches_single_split_calls_with_one_forward(self, parts, cls, monkeypatch):
+    @pytest.mark.parametrize(
+        "cls, forwards",
+        [(FederatedTrainer, lambda tr: 1), (FedLITTrainer, lambda tr: len(tr.clients))],
+        ids=["fedavg", "fedlit"],
+    )
+    def test_matches_single_split_calls_with_one_forward(self, parts, cls, forwards, monkeypatch):
+        # After run() every client holds the restored global model: FedAvg
+        # scores all of them from one forward over their stacked graphs,
+        # FedLIT runs one forward per party (its adjacencies are per party).
         tr = cls(parts, TrainerConfig(max_rounds=2, patience=10, hidden=16), seed=0)
         tr.run()
+        expected = forwards(tr)
         model_cls = type(tr.clients[0].model)
         real_forward = model_cls.forward
         calls = []
@@ -164,10 +172,10 @@ class TestMultiSplitEvaluate:
 
         monkeypatch.setattr(model_cls, "forward", counting_forward)
         both = tr.evaluate(("val", "test"))
-        assert len(calls) == len(tr.clients)
+        assert len(calls) == expected
         calls.clear()
         single = (tr.evaluate("val"), tr.evaluate("test"))
-        assert len(calls) == 2 * len(tr.clients)
+        assert len(calls) == 2 * expected
         assert isinstance(both, tuple)
         assert np.array(both).tobytes() == np.array(single).tobytes()
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, relu
-from repro.federated import Client
 from repro.gnn import GCN, OrthoGCN
 from repro.graphs.data import Graph
 from repro.graphs.sbm import dc_sbm
@@ -95,17 +94,3 @@ def test_x_op_holds_the_features():
     np.testing.assert_array_equal(op.toarray(), graph.x)
     assert graph.copy()._x_op is None  # copy drops the cache
 
-
-def test_empty_mask_party_runs_no_forward():
-    graph = _graph(seed=7, empty_masks=True)
-    model = GCN(graph.num_features, graph.num_classes, hidden=8, rng=np.random.default_rng(0))
-    calls = []
-
-    def logits(c):
-        calls.append(c.cid)
-        return c.model(c.graph)
-
-    scores = Client(0, graph, model).evaluate_splits(("val", "test"), logits)
-    assert calls == []
-    assert [n for _, n in scores] == [0, 0]
-    assert all(np.isnan(acc) for acc, _ in scores)
