@@ -208,9 +208,9 @@ class FedLITTrainer(FederatedTrainer):
         logits = client.model(self._typed_adjs[client.cid], Tensor(client.graph.x))
         return cross_entropy(logits, client.graph.y, client.graph.train_mask)
 
-    def eval_logits(self, clients) -> Tensor:
+    def eval_logits(self, clients, graph) -> Tensor:
         # The typed adjacencies are per party, so each member runs its own
-        # forward; the rows are stacked in member order.
+        # forward (``graph`` goes unused); the rows are stacked in member order.
         logits = []
         for c in clients:
             c.model.eval()

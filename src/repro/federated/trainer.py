@@ -12,7 +12,8 @@ Algorithm subclasses (FedOMD in :mod:`repro.core.fedomd`, baselines in
 * :meth:`aggregate` — server combination (default: sample-weighted
   FedAvg; LocGCN returns ``None`` to skip aggregation entirely).
 * :meth:`eval_logits` — the stacked evaluation logits of one group of
-  identically-weighted clients (FedLIT feeds its per-type adjacencies).
+  identically-weighted clients over the union of their graphs (FedLIT
+  feeds its per-type adjacencies instead).
 
 The loop runs ``max_rounds`` communication rounds with
 ``local_epochs`` optimizer steps per client per round (the paper's
@@ -52,16 +53,18 @@ from repro.nn.module import Module
 from repro.obs import get_registry, get_tracer
 
 
-def _node_weighted(scores: Sequence[tuple]) -> float:
-    """Node-weighted mean of per-party ``(accuracy, count)`` pairs."""
-    scored = [(acc, n) for acc, n in scores if n > 0]
-    if not scored:
+def _node_weighted(accs: np.ndarray, counts: np.ndarray) -> float:
+    """Node-weighted mean of per-party accuracies over the parties with ``counts > 0``."""
+    scored = counts > 0
+    if not scored.any():
         return float("nan")
-    return float(np.average([acc for acc, _ in scored], weights=[n for _, n in scored]))
+    return float(np.average(accs[scored], weights=counts[scored]))
 
 
 #: Parameters above this many bytes are compared in place, not copied out.
 _INLINE_BYTES = 1 << 15
+#: How many trailing bytes of a client's inline parameters key its bucket.
+_KEY_TAIL = 64
 
 
 def _same_words(a: np.ndarray, b: np.ndarray) -> bool:
@@ -69,35 +72,75 @@ def _same_words(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.array_equal(*(np.ascontiguousarray(v).view(np.uint64) for v in (a, b))))
 
 
-def _weight_groups(clients: Sequence[Client]) -> List[List[int]]:
+def _param_layout(client: Client) -> tuple:
+    """A client's parameter shapes, its arrays up to ``_INLINE_BYTES``, and the larger ones."""
+    # The optimizer's list is the model's parameters, already walked once.
+    params = [p.data for p in client.optimizer.params]
+    return (
+        tuple(p.shape for p in params),
+        [p for p in params if p.nbytes <= _INLINE_BYTES],
+        [p for p in params if p.nbytes > _INLINE_BYTES],
+    )
+
+
+def _weight_groups(clients: Sequence[Client], layouts: Dict[Client, tuple]) -> List[List[int]]:
     """Positions of ``clients`` grouped by bitwise-identical parameters.
 
     Groups come in order of first appearance, members in client order.
     Parameters are float64 (the :class:`Tensor` contract).  A client's
-    key is its parameter shapes plus the bytes of every parameter up to
-    ``_INLINE_BYTES``, so grouping is one dict lookup per client; larger
-    parameters are then checked word for word against the group's first
-    member.
+    words are the bytes of every parameter up to ``_INLINE_BYTES``; it
+    is bucketed by its parameter shapes and the last ``_KEY_TAIL`` of
+    its words, so grouping is one cheap dict lookup per client, and
+    joins the bucket's group whose first member has the same words and,
+    word for word, the same larger parameters.  ``layouts`` caches each
+    client's :func:`_param_layout` across calls: weights change only in
+    place (optimizer steps, ``load_state_dict``, projections), never by
+    rebinding a ``Parameter.data``, so the cached arrays stay the live
+    ones.
     """
     buckets: Dict[tuple, List[tuple]] = {}
     groups: List[List[int]] = []
     for pos, client in enumerate(clients):
-        # The optimizer's list is the model's parameters, already walked once.
-        params = [p.data for p in client.optimizer.params]
-        key = (
-            tuple(p.shape for p in params),
-            b"".join([p.tobytes() for p in params if p.nbytes <= _INLINE_BYTES]),
-        )
-        large = [p for p in params if p.nbytes > _INLINE_BYTES]
-        bucket = buckets.setdefault(key, [])
-        for rep, members in bucket:
-            if all(map(_same_words, rep, large)):
+        layout = layouts.get(client)
+        if layout is None:
+            layout = layouts[client] = _param_layout(client)
+        shapes, small, large = layout
+        words = b"".join([p.tobytes() for p in small])
+        # Hashing only a tail of the words is cheap; the bucket compares all.
+        bucket = buckets.setdefault((shapes, words[-_KEY_TAIL:]), [])
+        for rep_words, rep_large, members in bucket:
+            if rep_words == words and all(map(_same_words, rep_large, large)):
                 members.append(pos)
                 break
         else:
-            bucket.append((large, [pos]))
-            groups.append(bucket[-1][1])
+            bucket.append((words, large, [pos]))
+            groups.append(bucket[-1][2])
     return groups
+
+
+class _EvalIndex:
+    """What evaluation reads of the fleet, built once: its graphs and split sizes.
+
+    ``fleet`` is the :class:`GraphUnion` of every party graph, in client
+    order; each weight group's union is selected out of it.  ``layouts``
+    is :func:`_weight_groups`' per-client cache.
+    """
+
+    def __init__(self, clients: Sequence[Client]) -> None:
+        self.fleet = GraphUnion([c.graph for c in clients])
+        self.layouts: Dict[Client, tuple] = {}
+        self._counts: Dict[str, np.ndarray] = {}
+
+    def counts(self, split: str) -> np.ndarray:
+        """Each party's node count in ``split``; ``ValueError`` if a party lacks the mask."""
+        if split not in self._counts:
+            mask = getattr(self.fleet, f"{split}_mask")
+            if mask is None:
+                raise ValueError(f"graph has no {split}_mask")
+            self._counts[split] = np.bincount(
+                self.fleet.owner[mask], minlength=len(self.fleet.parts)
+            )
+        return self._counts[split]
 
 
 @dataclass
@@ -271,6 +314,7 @@ class FederatedTrainer:
         self._best_val = -np.inf
         self._best_states: Optional[List[Dict[str, np.ndarray]]] = None
         self._rounds_since_best = 0
+        self._eval_index: Optional[_EvalIndex] = None
         self.clients: List[Client] = []
         for cid, g in enumerate(parts):
             # Same seed for every client: all parties start from one
@@ -396,19 +440,18 @@ class FederatedTrainer:
         for client, state in zip(self.clients, self.comm.broadcast(w0, kind=KIND_WEIGHTS)):
             client.set_state(state)
 
-    def eval_logits(self, clients: Sequence[Client]) -> Tensor:
+    def eval_logits(self, clients: Sequence[Client], graph: GraphUnion) -> Tensor:
         """Stacked logits of one group of identically-weighted clients.
 
         The single model-facing hook of :meth:`evaluate`, called under
-        ``no_grad``: rows follow :class:`~repro.graphs.union.GraphUnion`
-        order (client by client).  The default runs the first member's
-        model once, in eval mode, over the union of the members' graphs;
-        trainers whose model takes other inputs than the party graph
-        override it.
+        ``no_grad``.  ``graph`` is the union of the members' graphs, and
+        rows follow its order (client by client).  The default runs the
+        first member's model once over it, in eval mode; trainers whose
+        model takes other inputs than the party graph override it.
         """
         model = clients[0].model
         model.eval()
-        return model(GraphUnion([c.graph for c in clients]))
+        return model(graph)
 
     def evaluate(self, split: Union[str, Sequence[str]] = "test") -> Union[float, tuple]:
         """Node-weighted average accuracy across parties.
@@ -417,55 +460,58 @@ class FederatedTrainer:
         them (returns a tuple of floats in the same order).  Clients
         whose parameters are bitwise identical form one group, and each
         group is scored from one :meth:`eval_logits` forward over the
-        union of its members' graphs: per-party hits are a ``bincount``
-        of correct rows over the union's owner index.  A party whose
-        requested masks are all empty adds no rows, and a group of such
-        parties runs no forward.  Every accuracy is bitwise the one
-        :meth:`Client.evaluate` computes for the party alone, unless a
-        node's top class scores tie to within the last-bit rounding of a
-        dense product over more rows (see :mod:`repro.graphs.union`).
+        union of its members' graphs.  A party whose requested masks
+        are all empty adds no rows, and a group of such parties runs no
+        forward.
+
+        The first call indexes the fleet: the union of every party
+        graph, from which each group's union is sliced
+        (:meth:`GraphUnion.select`), and each split's per-party node
+        counts.  Party graphs may be edited before the first evaluation
+        but not after.  Each group's predictions land in one
+        fleet-length vector, and every party's hits are one
+        ``bincount`` of correct rows over the fleet's owner index per
+        split.  Every accuracy is bitwise the one :meth:`Client.evaluate`
+        computes for the party alone, unless a node's top class scores
+        tie to within the last-bit rounding of a dense product over more
+        rows (see :mod:`repro.graphs.union`).
         """
         splits = (split,) if isinstance(split, str) else tuple(split)
-        counts = []
-        for name in splits:
-            masks = [getattr(c.graph, f"{name}_mask") for c in self.clients]
-            if any(m is None for m in masks):
-                raise ValueError(f"graph has no {name}_mask")
-            counts.append([np.count_nonzero(m) for m in masks])
-        counts = np.array(counts, dtype=np.int64)
+        if self._eval_index is None:
+            self._eval_index = _EvalIndex(self.clients)
+        index = self._eval_index
+        fleet = index.fleet
+        counts = np.array([index.counts(name) for name in splits])
         active = np.flatnonzero(counts.any(axis=0))
         groups = [
             active[members]
-            for members in _weight_groups([self.clients[i] for i in active])
+            for members in _weight_groups([self.clients[i] for i in active], index.layouts)
         ]
 
-        def group_hits(group: np.ndarray) -> np.ndarray:
-            members = [self.clients[i] for i in group]
+        def group_predictions(group: np.ndarray) -> tuple:
+            union = fleet.select(group)
             with no_grad():
-                logits = self.eval_logits(members)
-            union = GraphUnion([c.graph for c in members])
-            correct = logits.data.argmax(axis=1) == union.y
-            return np.array([
-                np.bincount(
-                    union.owner[correct & getattr(union, f"{name}_mask")],
-                    minlength=len(group),
-                )
-                for name in splits
-            ])
+                logits = self.eval_logits([self.clients[i] for i in group], union)
+            return union.rows, logits.data.argmax(axis=1)
 
-        per_group = self.executor.map(
-            group_hits,
+        predicted = np.full(fleet.num_nodes, -1)  # never a label: unscored rows miss
+        for rows, labels in self.executor.map(
+            group_predictions,
             groups,
             span="group.eval",
             attrs=lambda g: {"clients": len(g), "split": ",".join(splits)},
-        )
-        hits = np.zeros_like(counts)
-        for group, group_hit in zip(groups, per_group):
-            hits[:, group] = group_hit
+        ):
+            predicted[rows] = labels
+        correct = predicted == fleet.y
+        hits = np.array([
+            np.bincount(
+                fleet.owner[correct & getattr(fleet, f"{name}_mask")],
+                minlength=len(self.clients),
+            )
+            for name in splits
+        ])
         accs = np.divide(hits, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
-        scores = tuple(
-            _node_weighted(zip(acc.tolist(), n.tolist())) for acc, n in zip(accs, counts)
-        )
+        scores = tuple(_node_weighted(acc, n) for acc, n in zip(accs, counts))
         return scores[0] if isinstance(split, str) else scores
 
     def _train_participants(self) -> List[float]:

@@ -12,7 +12,15 @@ states among the scored parties.  The union's logits themselves may
 differ from the per-party ones in the last bit (a dense BLAS product
 blocks by row count); the generated weights are generic, so no node's
 top class scores tie within that rounding.
+
+The trainer stacks the whole fleet once and slices each group's union
+out of it (``GraphUnion.select``); the slices are checked field by field
+against ``GraphUnion`` of the same parts, and the cached evaluation
+index against weights changed between evaluations.
 """
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +33,7 @@ from repro.federated import FederatedTrainer, TrainerConfig
 from repro.federated import trainer as trainer_mod
 from repro.gnn import APPNP, GAT, GCN, MLP, SAGE, SGC, OrthoGCN
 from repro.graphs import Graph, GraphUnion
+from repro.graphs import union as union_mod
 from repro.nn import accuracy
 
 NUM_FEATURES = 5
@@ -159,10 +168,9 @@ class _Recorder:
             self.forwards.append(args[-1] if args else None)
             return real_forward(model, *args, **kwargs)
 
-        def node_weighted(scores):
-            scores = list(scores)
-            self.scores.append(scores)
-            return real_weighted(scores)
+        def node_weighted(accs, counts):
+            self.scores.append(list(zip(accs.tolist(), counts.tolist())))
+            return real_weighted(accs, counts)
 
         self._restore = [(self.model_cls, "forward", real_forward),
                          (trainer_mod, "_node_weighted", real_weighted)]
@@ -181,7 +189,7 @@ def _check(tr):
     refs = [_reference(tr, split) for split in SPLITS]
     for scores, ref in zip(rec.scores, refs):
         assert _bits(scores) == _bits(ref)
-    want = tuple(trainer_mod._node_weighted(ref) for ref in refs)
+    want = tuple(trainer_mod._node_weighted(*map(np.array, zip(*ref))) for ref in refs)
     assert np.array(got).tobytes() == np.array(want).tobytes()
     scored = [c for c, *counts in zip(tr.clients, *refs) if any(n for _, n in counts)]
     expected = len(scored) if isinstance(tr, FedLITTrainer) else _distinct_states(tr, scored)
@@ -208,7 +216,7 @@ def test_large_parameters_are_compared_word_for_word():
     tr = _trainer(parts, "gcn")
     assert tr.clients[0].optimizer.params[0].data.nbytes > trainer_mod._INLINE_BYTES
     _load_states(tr, ["plus_zero", "minus_zero", "nan", "perturbed"], [0, 1, 2, 2, 1, 3])
-    assert trainer_mod._weight_groups(tr.clients) == [[0], [1, 4], [2, 3], [5]]
+    assert trainer_mod._weight_groups(tr.clients, {}) == [[0], [1, 4], [2, 3], [5]]
     _check(tr)
 
 
@@ -318,3 +326,137 @@ def test_stacking_mismatched_parties_raises(field):
         b = Graph(x=a.x, adj=a.adj, y=a.y, num_classes=NUM_CLASSES + 1)
     with pytest.raises(ValueError, match=field):
         GraphUnion([a, b])
+
+
+# ----------------------------------------------------------------------
+# slicing groups out of the fleet union
+# ----------------------------------------------------------------------
+CSR_FIELDS = ("s_op", "mean_op", "x_op")
+DENSE_FIELDS = ("x", "y", "train_mask", "val_mask", "test_mask", "owner")
+
+
+def _same_array(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == np.float64:
+        got, want = got.view(np.uint64), want.view(np.uint64)
+    assert np.array_equal(got, want)
+
+
+def _same_union(got, want, fleet, pos):
+    """Every field of ``got`` equals ``want``'s exactly (CSR data as uint64 words)."""
+    assert got.parts == want.parts
+    assert np.array_equal(got.offsets, want.offsets) and got.num_nodes == want.num_nodes
+    assert (got.num_features, got.num_classes) == (want.num_features, want.num_classes)
+    for name in CSR_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape
+        for arr in ("data", "indices", "indptr"):
+            _same_array(getattr(a, arr), getattr(b, arr))
+    for name in DENSE_FIELDS:
+        _same_array(getattr(got, name), getattr(want, name))
+    for a, b in zip(got.edge_index, want.edge_index):
+        _same_array(a, b)
+    rows = np.concatenate([np.arange(fleet.offsets[i], fleet.offsets[i + 1]) for i in pos])
+    assert np.array_equal(got.rows, rows)
+    assert fleet.x[got.rows].tobytes() == want.x.tobytes()
+
+
+@st.composite
+def fleets(draw):
+    """Parties (some lacking a val mask) and a random ascending subset of them."""
+    parts = draw(parties(max_parties=7))
+    for i in draw(st.sets(st.integers(0, len(parts) - 1), max_size=2)):
+        parts[i].val_mask = None
+    pos = sorted(draw(st.sets(st.integers(0, len(parts) - 1), min_size=1)))
+    return parts, pos
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=fleets(), warm=st.booleans())
+def test_select_equals_union_of_the_selected_parts(case, warm):
+    parts, pos = case
+    fleet = GraphUnion(parts)
+    if warm:  # the fleet's fields already built, as after the first evaluation
+        for name in (*CSR_FIELDS, *DENSE_FIELDS, "edge_index"):
+            getattr(fleet, name)
+    got = fleet.select(pos)
+    _same_union(got, GraphUnion([parts[i] for i in pos]), fleet, pos)
+    # Selecting from a selection cuts from the fleet, so rows stay fleet rows.
+    sub = pos[::2]
+    _same_union(
+        got.select(list(range(0, len(pos), 2))), GraphUnion([parts[i] for i in sub]), fleet, sub
+    )
+
+
+def test_select_one_part_is_the_part_and_all_parts_the_fleet():
+    rng = np.random.default_rng(8)
+    parts = [_party(rng, 4, 0.5, (), [np.ones(4, dtype=bool)] * 3) for _ in range(3)]
+    fleet = GraphUnion(parts)
+    one = fleet.select([1])
+    for name in ("s_op", "x_op", "mean_op", "x", "edge_index", "y", "test_mask"):
+        assert getattr(one, name) is getattr(parts[1], name)
+    assert np.array_equal(one.rows, np.arange(4, 8)) and np.array_equal(one.owner, np.zeros(4))
+    assert fleet.select([0, 1, 2]) is fleet
+    assert fleet.select(np.arange(3)) is fleet
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [[], [2, 0], [0, 0], [1, 1, 2], [-1], [3], [0, 5], [0.0, 1.0], [True, False], [[0, 1]]],
+    ids=["empty", "unsorted", "duplicate", "duplicate-tail", "negative", "past-end",
+         "out-of-range", "float", "bool", "2d"],
+)
+def test_select_rejects_bad_positions(positions):
+    rng = np.random.default_rng(9)
+    parts = [_party(rng, 3, 0.5, (), [np.ones(3, dtype=bool)] * 3) for _ in range(3)]
+    with pytest.raises(ValueError):
+        GraphUnion(parts).select(positions)
+
+
+@pytest.mark.parametrize("num_workers", [1, 2])
+def test_cached_index_sees_weights_changed_between_evaluations(num_workers):
+    # The fleet, the split counts and each client's parameter arrays are
+    # cached on the first evaluation; weights then change in place
+    # through every path that writes them, and each evaluation must
+    # still match the per-party reference with one forward per state.
+    rng = np.random.default_rng(10)
+    masks = [np.ones(5, dtype=bool)] * 3
+    parts = [_party(rng, 5, 0.5, (), masks) for _ in range(5)]
+    tr = _trainer(parts, "orthogcn", num_workers=num_workers)
+    _check(tr)  # one state
+    w0 = tr.clients[0].get_state()
+    for c in tr.clients[2:]:
+        c.set_state(_state(w0, "perturbed", 1))
+    _check(tr)  # two states
+    tr.clients[0].train_step(tr.local_loss)
+    _check(tr)  # three
+    tr.clients[1].model.project_orthogonal()  # Newton–Schulz, in place
+    _check(tr)  # four
+    for c in tr.clients:
+        c.set_state(w0)
+    _check(tr)  # one again
+
+
+def test_fleet_fields_are_built_once_under_parallel_groups(monkeypatch):
+    # Two multi-party groups slice the fleet's operators on two worker
+    # threads at once; a slow stack makes an unguarded build race.
+    calls = []
+    real = union_mod._stack_csr
+
+    def slow_stack(*args):
+        calls.append(threading.get_ident())
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(union_mod, "_stack_csr", slow_stack)
+    rng = np.random.default_rng(11)
+    parts = [_party(rng, 4, 0.5, (), [np.ones(4, dtype=bool)] * 3) for _ in range(4)]
+    tr = _trainer(parts, "gcn", num_workers=2)
+    _load_states(tr, ["perturbed", "plus_zero"], [0, 1, 0, 1])
+    _check(tr)
+    assert len(calls) == 2  # the fleet's s_op and x_op, once each
+    _check(tr)
+    assert len(calls) == 2
