@@ -23,8 +23,9 @@ Design
   operand only, which is exactly what GCN training needs.
 
 Performance notes (per the HPC guides): all ops are vectorized NumPy;
-gradients reuse buffers where safe; the backward pass allocates one
-gradient array per node and accumulates in place with ``+=``.
+gradients reuse buffers where safe; a node keeps its first incoming
+gradient by reference, allocates on the second arrival and accumulates
+in place with ``+=`` only into the array it allocated.
 """
 
 from repro.autograd.tensor import (

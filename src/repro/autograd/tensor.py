@@ -99,7 +99,9 @@ class Tensor:
         Whether gradients should be accumulated into ``self.grad``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_guard")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_parents", "_backward", "_op", "_guard", "_owns_grad"
+    )
 
     def __init__(
         self,
@@ -112,6 +114,9 @@ class Tensor:
         arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
+        # Whether ``grad`` was allocated here (and may take ``+=``) rather
+        # than borrowed from the edge that delivered it.
+        self._owns_grad = False
         self.requires_grad: bool = bool(requires_grad)
         self._parents: tuple = tuple(_parents)
         self._backward = _backward
@@ -193,12 +198,21 @@ class Tensor:
     # backward
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Accumulate ``grad`` into ``self.grad`` (allocating lazily)."""
+        """Accumulate ``grad`` into ``self.grad``.
+
+        The first arrival is kept by reference: the incoming array may be
+        shared with other edges (``x + x``, pass-through ops), so it is
+        never written.  The second arrival allocates ``grad + g``, which
+        this tensor owns and later arrivals update with ``+=``.
+        """
         if self.grad is None:
-            # Copy: the incoming buffer may be shared with other edges.
-            self.grad = grad.astype(_DEFAULT_DTYPE, copy=True)
-        else:
+            self.grad = np.asarray(grad, dtype=_DEFAULT_DTYPE)
+            self._owns_grad = False
+        elif self._owns_grad:
             self.grad += grad
+        else:
+            self.grad = self.grad + grad
+            self._owns_grad = True
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run reverse-mode accumulation from this tensor.

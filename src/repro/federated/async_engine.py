@@ -609,7 +609,7 @@ class AsyncRoundEngine:
             self._round_losses.append((report.cid, losses))
             try:
                 payload = trainer.comm.send_to_server(
-                    client.cid, client.get_state(), kind=KIND_WEIGHTS
+                    client.cid, client.live_state(), kind=KIND_WEIGHTS
                 )
             except ClientDropped:
                 payload = None  # the round moved on; the upload is lost

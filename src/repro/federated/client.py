@@ -111,5 +111,14 @@ class Client:
     def get_state(self) -> Dict[str, np.ndarray]:
         return self.model.state_dict()
 
+    def live_state(self) -> Dict[str, np.ndarray]:
+        """The model's parameter arrays by name, not copied.
+
+        For handing straight to a :class:`Communicator` transfer, whose
+        deep copy is then the only copy; callers must not keep or write
+        the arrays.
+        """
+        return {name: p.data for name, p in self.model.named_parameters()}
+
     def set_state(self, state: Dict[str, np.ndarray]) -> None:
         self.model.load_state_dict(state)

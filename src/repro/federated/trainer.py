@@ -61,25 +61,28 @@ def _node_weighted(accs: np.ndarray, counts: np.ndarray) -> float:
     return float(np.average(accs[scored], weights=counts[scored]))
 
 
-#: Parameters above this many bytes are compared in place, not copied out.
-_INLINE_BYTES = 1 << 15
-#: How many trailing bytes of a client's inline parameters key its bucket.
+#: How many trailing bytes of a client's parameters key its bucket.
 _KEY_TAIL = 64
+#: Buffers up to this many bytes are compared as ``bytes`` copies (a few
+#: hundred ns); larger ones word by word in place, which costs no copy.
+_COPY_COMPARE_BYTES = 1 << 15
 
 
 def _same_words(a: np.ndarray, b: np.ndarray) -> bool:
-    """Bitwise equality of two float64 arrays: ``-0.0`` differs from ``0.0``, NaN matches its bits."""
-    return bool(np.array_equal(*(np.ascontiguousarray(v).view(np.uint64) for v in (a, b))))
+    """Equality of two uint64 buffers of one layout."""
+    if a.nbytes <= _COPY_COMPARE_BYTES:
+        return a.tobytes() == b.tobytes()
+    return bool(np.array_equal(a, b))
 
 
 def _param_layout(client: Client) -> tuple:
-    """A client's parameter shapes, its arrays up to ``_INLINE_BYTES``, and the larger ones."""
-    # The optimizer's list is the model's parameters, already walked once.
-    params = [p.data for p in client.optimizer.params]
+    """A client's parameter shapes, its key (last real bytes) and its flat buffer as words."""
+    opt = client.optimizer
+    flat, end = opt.flat, opt.flat_end
     return (
-        tuple(p.shape for p in params),
-        [p for p in params if p.nbytes <= _INLINE_BYTES],
-        [p for p in params if p.nbytes > _INLINE_BYTES],
+        tuple(p.shape for p in opt.params),
+        flat[max(end - _KEY_TAIL // 8, 0) : end],
+        flat.view(np.uint64),
     )
 
 
@@ -87,16 +90,16 @@ def _weight_groups(clients: Sequence[Client], layouts: Dict[Client, tuple]) -> L
     """Positions of ``clients`` grouped by bitwise-identical parameters.
 
     Groups come in order of first appearance, members in client order.
-    Parameters are float64 (the :class:`Tensor` contract).  A client's
-    words are the bytes of every parameter up to ``_INLINE_BYTES``; it
-    is bucketed by its parameter shapes and the last ``_KEY_TAIL`` of
-    its words, so grouping is one cheap dict lookup per client, and
-    joins the bucket's group whose first member has the same words and,
-    word for word, the same larger parameters.  ``layouts`` caches each
-    client's :func:`_param_layout` across calls: weights change only in
-    place (optimizer steps, ``load_state_dict``, projections), never by
-    rebinding a ``Parameter.data``, so the cached arrays stay the live
-    ones.
+    Every client's parameters live in its optimizer's flat float64
+    buffer (:mod:`repro.nn.optim`), whose padding is always ``+0.0``.
+    A client is bucketed by its parameter shapes and the last
+    ``_KEY_TAIL`` bytes of its parameters, so grouping is one cheap dict
+    lookup per client, and joins the bucket's group whose first member's
+    buffer is equal as uint64 words (so ``-0.0`` differs from ``0.0``
+    and NaN matches its bits).  ``layouts`` caches each client's
+    :func:`_param_layout` across calls: the optimizer raises on its next
+    step if a ``Parameter.data`` is rebound, so the cached buffer stays
+    the live one.
     """
     buckets: Dict[tuple, List[tuple]] = {}
     groups: List[List[int]] = []
@@ -104,17 +107,15 @@ def _weight_groups(clients: Sequence[Client], layouts: Dict[Client, tuple]) -> L
         layout = layouts.get(client)
         if layout is None:
             layout = layouts[client] = _param_layout(client)
-        shapes, small, large = layout
-        words = b"".join([p.tobytes() for p in small])
-        # Hashing only a tail of the words is cheap; the bucket compares all.
-        bucket = buckets.setdefault((shapes, words[-_KEY_TAIL:]), [])
-        for rep_words, rep_large, members in bucket:
-            if rep_words == words and all(map(_same_words, rep_large, large)):
+        shapes, tail, words = layout
+        bucket = buckets.setdefault((shapes, tail.tobytes()), [])
+        for rep_words, members in bucket:
+            if _same_words(rep_words, words):
                 members.append(pos)
                 break
         else:
-            bucket.append((words, large, [pos]))
-            groups.append(bucket[-1][2])
+            bucket.append((words, [pos]))
+            groups.append(bucket[-1][1])
     return groups
 
 
@@ -405,7 +406,7 @@ class FederatedTrainer:
         kept: List[Client] = []
         for c in self.active_clients():
             try:
-                payload = self.comm.send_to_server(c.cid, c.get_state(), kind=KIND_WEIGHTS)
+                payload = self.comm.send_to_server(c.cid, c.live_state(), kind=KIND_WEIGHTS)
             except ClientDropped:
                 continue
             if self.config.quarantine_nonfinite and not payload_is_finite(payload):
@@ -436,7 +437,7 @@ class FederatedTrainer:
     # ------------------------------------------------------------------
     def _sync_initial_state(self) -> None:
         """Phase 1: broadcast W₀ so every party starts identically."""
-        w0 = self.clients[0].get_state()
+        w0 = self.clients[0].live_state()
         for client, state in zip(self.clients, self.comm.broadcast(w0, kind=KIND_WEIGHTS)):
             client.set_state(state)
 

@@ -16,7 +16,7 @@ from repro.nn.losses import (
     orthogonality_loss,
     accuracy,
 )
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import SGD, Adam, Optimizer, StaleParameterError
 from repro.nn.schedulers import (
     CosineAnnealingLR,
     LRScheduler,
@@ -38,6 +38,7 @@ __all__ = [
     "save_state",
     "Module",
     "Parameter",
+    "StaleParameterError",
     "Linear",
     "init",
     "cross_entropy",

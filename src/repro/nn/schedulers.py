@@ -92,5 +92,7 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
     if total > max_norm and total > 0:
         scale = max_norm / total
         for p in params:
-            p.grad *= scale
+            # Rebind, never scale in place: a gradient may be borrowed from
+            # another edge of the graph (see Tensor._accumulate).
+            p.grad = p.grad * scale
     return total

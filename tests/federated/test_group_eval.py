@@ -208,15 +208,17 @@ def test_grouped_evaluate_matches_per_party_reference(family, data):
 
 
 def test_large_parameters_are_compared_word_for_word():
-    # conv1.weight is 1200×4 float64 (38 kB): above the inline-bytes limit,
-    # so its ±0.0 and NaN entries go through the in-place comparison.
+    # conv1.weight is 1200×4 float64 (38 kB) and the ±0.0 and NaN states
+    # differ only in its first word, far from the bucket key (the last
+    # real bytes of the flat buffer): the word comparison must split them.
     rng = np.random.default_rng(5)
     parts = [_party(rng, 4, 0.5, (), [np.ones(4, dtype=bool)] * 3, num_features=1200)
              for _ in range(6)]
     tr = _trainer(parts, "gcn")
-    assert tr.clients[0].optimizer.params[0].data.nbytes > trainer_mod._INLINE_BYTES
     _load_states(tr, ["plus_zero", "minus_zero", "nan", "perturbed"], [0, 1, 2, 2, 1, 3])
-    assert trainer_mod._weight_groups(tr.clients, {}) == [[0], [1, 4], [2, 3], [5]]
+    layouts = {}
+    assert trainer_mod._weight_groups(tr.clients, layouts) == [[0], [1, 4], [2, 3], [5]]
+    assert len({layouts[c][1].tobytes() for c in tr.clients[:5]}) == 1
     _check(tr)
 
 
