@@ -6,10 +6,17 @@ quick/full experiment, scaled to seconds so the whole suite runs in
 minutes.  Results are printed so a bench run doubles as a smoke-mode
 reproduction, and saved under ``results/bench/``.
 
+The ``BENCH_*.json`` legs write into ``results/bench/`` (git-ignored):
+the ``BENCH_*.json`` files at the repo root are the committed baselines
+``python -m repro.obs.bench check --baseline`` compares a fresh run
+against, and no bench run overwrites them.
+
 Run with::
 
     pytest benchmarks/ --benchmark-only
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +33,14 @@ def cora_smoke():
 @pytest.fixture(scope="session")
 def cora_parts(cora_smoke):
     return louvain_partition(cora_smoke, 3, np.random.default_rng(0)).parts
+
+
+@pytest.fixture(scope="session")
+def bench_dir():
+    """Where the legs write ``BENCH_*.json`` (relative to the repo root)."""
+    path = os.path.join("results", "bench")
+    os.makedirs(path, exist_ok=True)
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,10 @@ the round-throughput ratio is *deterministic* for a given seed: the
 ``>= 2x`` speedup gate cannot flake on runner load, and is asserted at
 every scale.
 
-Results merge into ``BENCH_async.json`` at the repo root (per-mode
-keys: a smoke run in CI never clobbers the committed 1000-client full
-entry) and append to the bench history for trajectory tracking.
+Results merge into ``results/bench/BENCH_async.json`` (per-mode keys)
+and append to the bench history for trajectory tracking; the committed
+``BENCH_async.json`` at the repo root is the baseline, never rewritten
+by a bench run.
 
 Scale knob: ``REPRO_BENCH_ASYNC_SCALE=smoke`` (CI) runs 60 clients;
 ``full`` (the default) is the 1000-client acceptance run.
@@ -26,11 +27,12 @@ SCALE = os.environ.get("REPRO_BENCH_ASYNC_SCALE", "full")
 MIN_THROUGHPUT_SPEEDUP = 2.0
 
 
-def test_bench_async_round_throughput(bench_out):
-    result = run_loadtest(mode=SCALE, out_dir=bench_out)
+def test_bench_async_round_throughput(bench_out, bench_dir):
+    bench_path = os.path.join(bench_dir, "BENCH_async.json")
+    result = run_loadtest(mode=SCALE, out_dir=bench_out, bench_path=bench_path)
     print("\n" + result.render())
 
-    with open("BENCH_async.json") as f:
+    with open(bench_path) as f:
         bench = json.load(f)
     assert SCALE in bench
     entry = bench[SCALE]

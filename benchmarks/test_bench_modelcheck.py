@@ -3,9 +3,9 @@
 Runs ``repro.analysis.modelcheck`` end-to-end — baseline run, schedule
 enumeration, one controlled federated run per schedule, digest
 comparison — and merges the throughput metrics into
-``BENCH_modelcheck.json`` at the repo root (per-mode keys, same
-convention as ``BENCH_async.json``: a smoke run in CI never clobbers
-the committed full entry).
+``results/bench/BENCH_modelcheck.json`` (per-mode keys, same convention
+as ``BENCH_async.json``); the committed ``BENCH_modelcheck.json`` at the
+repo root is the baseline, never rewritten by a bench run.
 
 Scale knob: ``REPRO_BENCH_MODELCHECK_SCALE=smoke`` (CI) explores 24
 schedules over 3 clients; ``full`` (the default) is the 120-schedule
@@ -29,16 +29,17 @@ MIN_SCHEDULES = {"smoke": 24, "full": 100}
 MAX_PER_SCHEDULE_S = 1.0
 
 
-def test_bench_modelcheck_throughput(capsys):
+def test_bench_modelcheck_throughput(capsys, bench_dir):
+    bench_path = os.path.join(bench_dir, "BENCH_modelcheck.json")
     argv = CONFIGS[SCALE] + [
         "--resume-checks", "2",
         "--mode", SCALE,
-        "--bench-out", "BENCH_modelcheck.json",
+        "--bench-out", bench_path,
     ]
     assert mc_main(argv) == 0, "explored schedules must be bitwise-equivalent"
     print("\n" + capsys.readouterr().out)
 
-    with open("BENCH_modelcheck.json") as f:
+    with open(bench_path) as f:
         bench = json.load(f)
     assert SCALE in bench
     entry = bench[SCALE]

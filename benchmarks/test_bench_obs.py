@@ -13,10 +13,10 @@ end to end:
   by orders of magnitude; tracemalloc is the expensive part and gets its
   own looser bound).
 
-Timings land in ``BENCH_obs.json`` at the repo root (the committed
-snapshot CI gates against via ``python -m repro.obs.bench check``) and
-are appended to ``results/bench_history.jsonl`` — the machine-local perf
-trajectory.
+Timings land in ``results/bench/BENCH_obs.json`` and are appended to
+``results/bench_history.jsonl`` — the machine-local perf trajectory that
+``python -m repro.obs.bench check`` gates against the committed
+``BENCH_obs.json`` snapshot at the repo root.
 """
 
 import json
@@ -64,7 +64,7 @@ def _phase_means(hist):
     }
 
 
-def test_bench_telemetry_overhead(tmp_path):
+def test_bench_telemetry_overhead(tmp_path, bench_dir):
     g = load_dataset("cora", seed=0, scale=0.12)
     parts = louvain_partition(g, 3, np.random.default_rng(0)).parts
 
@@ -145,9 +145,10 @@ def test_bench_telemetry_overhead(tmp_path):
         "mean_round_wall_on_s": round(float(np.mean(hist_on.wall_times)), 6),
         "phase_overhead": phase_overhead,
     }
-    with open("BENCH_obs.json", "w") as f:
+    out_path = os.path.join(bench_dir, "BENCH_obs.json")
+    with open(out_path, "w") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
     record_bench("obs", payload, rounds=ROUNDS)
-    assert os.path.exists("BENCH_obs.json")
+    assert os.path.exists(out_path)
     assert os.path.exists(os.path.join("results", "bench_history.jsonl"))

@@ -57,8 +57,7 @@ def run(
             c.train_step(trainer.local_loss)
         state = trainer.aggregate()
         if state is not None:
-            for c, s in zip(trainer.clients, trainer.comm.broadcast(state)):
-                c.set_state(s)
+            trainer.comm.broadcast(state, into=[c.live_state() for c in trainer.clients])
 
         up_before = trainer.comm.stats.uplink_bytes
         t_client = 0.0
@@ -73,8 +72,7 @@ def run(
             state = trainer.aggregate()
             t_server += time.perf_counter() - t0
             if state is not None:
-                for c, s in zip(trainer.clients, trainer.comm.broadcast(state)):
-                    c.set_state(s)
+                trainer.comm.broadcast(state, into=[c.live_state() for c in trainer.clients])
         uplink_per_round = (trainer.comm.stats.uplink_bytes - up_before) / rounds
 
         t0 = time.perf_counter()

@@ -623,10 +623,9 @@ class AsyncRoundEngine:
         if self.version > report.base_version and self.global_state is not None:
             # The server moved on while this client computed: it pulls the
             # current global model before it can be dispatched again.
-            synced = trainer.comm.send_to_client(
-                client.cid, self.global_state, kind=KIND_WEIGHTS
+            trainer.comm.send_to_client(
+                client.cid, self.global_state, kind=KIND_WEIGHTS, into=client.live_state()
             )
-            client.set_state(synced)
         return update
 
     def _aggregate(self, arrivals: List[_ClientUpdate]) -> Optional[StateDict]:
@@ -673,14 +672,15 @@ class AsyncRoundEngine:
         """
         trainer = self.trainer
         if not self._in_flight:
-            delivered = trainer.comm.broadcast(new_global, kind=KIND_WEIGHTS)
-            for client, state in zip(trainer.clients, delivered):
-                client.set_state(state)
+            trainer.comm.broadcast(
+                new_global,
+                kind=KIND_WEIGHTS,
+                into=[c.live_state() for c in trainer.clients],
+            )
             return
         for client in trainer.clients:
             if client.cid in self._in_flight:
                 continue
-            state = trainer.comm.send_to_client(
-                client.cid, new_global, kind=KIND_WEIGHTS
+            trainer.comm.send_to_client(
+                client.cid, new_global, kind=KIND_WEIGHTS, into=client.live_state()
             )
-            client.set_state(state)

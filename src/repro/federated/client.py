@@ -114,8 +114,10 @@ class Client:
     def live_state(self) -> Dict[str, np.ndarray]:
         """The model's parameter arrays by name, not copied.
 
-        For handing straight to a :class:`Communicator` transfer, whose
-        deep copy is then the only copy; callers must not keep or write
+        For handing straight to a :class:`Communicator` transfer: as an
+        upload, whose deep copy is then the only copy, or as the
+        receive buffer (``into=``) of a weights download, which the
+        channel writes in place.  Other callers must not keep or write
         the arrays.
         """
         return {name: p.data for name, p in self.model.named_parameters()}

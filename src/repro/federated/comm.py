@@ -7,10 +7,22 @@ structures of them; :func:`payload_bytes` sizes exactly what a real
 transport would serialize, which is what Table 3's communication
 accounting reports.
 
-All transfers deep-copy the payload.  This is deliberate: in-process
-simulation would otherwise share mutable arrays between "machines",
-hiding bugs (e.g. a client mutating the global model in place) that a
-real deployment would surface.
+No two "machines" ever share an array.  This is deliberate: in-process
+simulation would otherwise share mutable arrays between them, hiding
+bugs (e.g. a client mutating the global model in place) that a real
+deployment would surface.  Two delivery forms keep that rule:
+
+* *receive-into* — ``broadcast`` / ``send_to_client`` with ``into=``
+  (each receiver's live parameter arrays, ``Client.live_state()``)
+  first checks every destination against the payload (keys, shapes,
+  dtypes; a mismatch raises before any receiver changes), then copies
+  the payload into them with ``np.copyto``: one copy per receiver, no
+  allocation.  Model weights move this way.
+* *copy-returning* — every other transfer returns a deep copy of the
+  payload.  Payloads with no receive buffer (statistics, SCAFFOLD's
+  control variates) and every upload move this way.
+
+Both forms meter and notify the monitor identically.
 
 Thread-safety contract: every stat mutation happens under one internal
 lock, so point-to-point transfers may be issued concurrently from
@@ -32,6 +44,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from repro.federated.server import StateDict
 from repro.obs import get_registry
 
 # Well-known payload kinds (callers may also pass their own): model
@@ -89,6 +102,26 @@ def payload_bytes(payload: Any) -> int:
     if isinstance(payload, (list, tuple)):
         return sum(payload_bytes(v) for v in payload)
     raise TypeError(f"unsupported payload type {type(payload).__name__}")
+
+
+def _check_receiver(payload: StateDict, dest: StateDict) -> None:
+    """Raise unless ``payload`` can be copied into ``dest`` as it is."""
+    if payload.keys() != dest.keys():
+        raise KeyError(
+            f"receiver keys {sorted(dest)} do not match payload keys {sorted(payload)}"
+        )
+    for name, src in payload.items():
+        dst = dest[name]
+        if src.shape != dst.shape or src.dtype != dst.dtype:
+            raise ValueError(
+                f"receiver {name!r} is {dst.dtype}{dst.shape}, "
+                f"payload is {src.dtype}{src.shape}"
+            )
+
+
+def _copy_into(payload: StateDict, dest: StateDict) -> None:
+    for name, src in payload.items():
+        np.copyto(dest[name], src)
 
 
 def _zero_kind() -> Dict[str, int]:
@@ -236,19 +269,46 @@ class Communicator:
             reg.counter("comm.messages", direction="downlink", kind=kind).inc(messages)
 
     # -- collectives ------------------------------------------------------
-    def broadcast(self, payload: Any, kind: str = KIND_OTHER) -> List[Any]:
-        """Server → all clients.  Returns one independent copy per client."""
+    def broadcast(
+        self, payload: Any, kind: str = KIND_OTHER, into: Optional[List[StateDict]] = None
+    ) -> Optional[List[Any]]:
+        """Server → all clients.
+
+        Without ``into``, returns one independent copy per client.  With
+        ``into`` (one state dict of live arrays per client), copies the
+        payload into every receiver in place and returns ``None``.
+        """
+        if into is not None:
+            if len(into) != self.num_clients:
+                raise ValueError(f"expected {self.num_clients} receivers, got {len(into)}")
+            for dest in into:
+                _check_receiver(payload, dest)
         self._notify("down", kind, payload)
         size = payload_bytes(payload)
         self._meter_downlink(size * self.num_clients, self.num_clients, kind=kind)
-        return [copy.deepcopy(payload) for _ in range(self.num_clients)]
+        if into is None:
+            return [copy.deepcopy(payload) for _ in range(self.num_clients)]
+        for dest in into:
+            _copy_into(payload, dest)
+        return None
 
-    def send_to_client(self, client_id: int, payload: Any, kind: str = KIND_OTHER) -> Any:
-        """Server → one client."""
+    def send_to_client(
+        self,
+        client_id: int,
+        payload: Any,
+        kind: str = KIND_OTHER,
+        into: Optional[StateDict] = None,
+    ) -> Any:
+        """Server → one client: a copy, or (with ``into``) in place, returning ``None``."""
         self._check_id(client_id)
+        if into is not None:
+            _check_receiver(payload, into)
         self._notify("down", kind, payload, client=client_id)
         self._meter_downlink(payload_bytes(payload), kind=kind)
-        return copy.deepcopy(payload)
+        if into is None:
+            return copy.deepcopy(payload)
+        _copy_into(payload, into)
+        return None
 
     def gather(self, payloads: List[Any], kind: str = KIND_OTHER) -> List[Any]:
         """All clients → server.  ``payloads[i]`` comes from client ``i``."""
@@ -275,12 +335,9 @@ class Communicator:
         """
         gathered = self.gather(payloads, kind=kind)
         self._notify("down", kind, gathered)
-        out = []
-        for _ in range(self.num_clients):
-            size = sum(payload_bytes(p) for p in gathered)
-            self._meter_downlink(size, kind=kind)
-            out.append(copy.deepcopy(gathered))
-        return out
+        size = sum(payload_bytes(p) for p in gathered)
+        self._meter_downlink(size * self.num_clients, self.num_clients, kind=kind)
+        return [copy.deepcopy(gathered) for _ in range(self.num_clients)]
 
     def end_round(self) -> None:
         """Mark a communication-round boundary (for per-round averages)."""

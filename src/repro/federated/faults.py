@@ -53,6 +53,7 @@ matching spec wins):
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -287,21 +288,37 @@ def corrupt_payload(payload: Any, mode: str = "nan") -> Any:
 
 
 def payload_is_finite(payload: Any) -> bool:
-    """True when every numeric value in the (nested) payload is finite."""
+    """True when every numeric value in the (nested) payload is finite.
+
+    Exact and allocation-free.  A float array whose sum is finite is
+    finite throughout (an inf or NaN term never cancels back to a finite
+    sum), so one reduction settles the common case; a non-finite sum —
+    a bad value, or finite values that overflow — falls back to the
+    exact test that the minimum and maximum are finite (NaN propagates
+    through both, ±inf is an extreme).  A complex array is finite iff
+    its real and imaginary views are.
+    """
+    # An overflowing or inf - inf sum is an expected outcome here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _is_finite(payload)
+
+
+def _is_finite(payload: Any) -> bool:
     if payload is None:
         return True
     if isinstance(payload, np.ndarray):
-        if np.issubdtype(payload.dtype, np.floating) or np.issubdtype(
-            payload.dtype, np.complexfloating
-        ):
-            return bool(np.isfinite(payload).all())
-        return True
-    if isinstance(payload, (float, np.floating)):
+        kind = payload.dtype.kind
+        if kind == "c":
+            return _is_finite(payload.real) and _is_finite(payload.imag)
+        if kind != "f" or not payload.size or math.isfinite(payload.sum()):
+            return True
+        return bool(np.isfinite(payload.min()) and np.isfinite(payload.max()))
+    if isinstance(payload, (float, complex, np.floating, np.complexfloating)):
         return bool(np.isfinite(payload))
     if isinstance(payload, dict):
-        return all(payload_is_finite(v) for v in payload.values())
+        return all(_is_finite(v) for v in payload.values())
     if isinstance(payload, (list, tuple)):
-        return all(payload_is_finite(v) for v in payload)
+        return all(_is_finite(v) for v in payload)
     return True
 
 

@@ -13,6 +13,10 @@ import numpy as np
 
 StateDict = Dict[str, np.ndarray]
 
+#: Elements per FedAvg block: 256 KiB of float64, so the block of the
+#: accumulator and its scratch stay in L2 across all the states.
+_BLOCK = 32768
+
 
 def fedavg(states: Sequence[StateDict], weights: Optional[Sequence[float]] = None) -> StateDict:
     """Weighted average of parameter dictionaries.
@@ -24,6 +28,11 @@ def fedavg(states: Sequence[StateDict], weights: Optional[Sequence[float]] = Non
     weights:
         Aggregation weights λ_i (normalized internally).  ``None`` means
         uniform.  Sample-count weighting is ``weights=[n_1, …, n_M]``.
+
+    Each element takes the sequence ``acc = 0; acc += λ_i·s_i`` in state
+    order, so the result is bitwise that of the plain loop; large
+    parameters are summed block by block through one scratch buffer
+    instead of a full-size ``λ_i·s_i`` temporary per state.
     """
     if not states:
         raise ValueError("no states to aggregate")
@@ -42,12 +51,37 @@ def fedavg(states: Sequence[StateDict], weights: Optional[Sequence[float]] = Non
             raise ValueError("weights must be non-negative and sum positive")
         lam = w / w.sum()
     out: StateDict = {}
-    for k in states[0]:
-        acc = np.zeros_like(states[0][k])
-        for lam_i, s in zip(lam, states):
-            if s[k].shape != acc.shape:
-                raise ValueError(f"shape mismatch for {k}")
-            acc += lam_i * s[k]
+    scratch = np.empty(0)
+    mul, add = np.multiply, np.add  # bound once: called per state and block
+    for k, first in states[0].items():
+        acc = np.zeros_like(first, order="C")
+        n = acc.size
+        dtype = np.result_type(lam[0], first)
+        if scratch.dtype != dtype or scratch.size < min(n, _BLOCK):
+            scratch = np.empty(min(n, _BLOCK), dtype=dtype)
+        if n <= _BLOCK:
+            tmp = scratch[:n].reshape(acc.shape)
+            for lam_i, s in zip(lam, states):
+                m = s[k]
+                if m.shape != acc.shape:
+                    raise ValueError(f"shape mismatch for {k}")
+                mul(lam_i, m, tmp)
+                add(acc, tmp, acc)
+        else:
+            sources = []
+            for s in states:
+                if s[k].shape != acc.shape:
+                    raise ValueError(f"shape mismatch for {k}")
+                sources.append(s[k].reshape(-1))
+            # Take one block through every state before moving on, so
+            # that block of ``acc`` stays in cache.
+            flat = acc.reshape(-1)
+            for a in range(0, n, _BLOCK):
+                blk = flat[a : a + _BLOCK]
+                tmp = scratch[: blk.size]
+                for lam_i, src in zip(lam, sources):
+                    mul(lam_i, src[a : a + _BLOCK], tmp)
+                    add(blk, tmp, blk)
         out[k] = acc
     return out
 

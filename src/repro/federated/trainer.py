@@ -437,9 +437,11 @@ class FederatedTrainer:
     # ------------------------------------------------------------------
     def _sync_initial_state(self) -> None:
         """Phase 1: broadcast W₀ so every party starts identically."""
-        w0 = self.clients[0].live_state()
-        for client, state in zip(self.clients, self.comm.broadcast(w0, kind=KIND_WEIGHTS)):
-            client.set_state(state)
+        self.comm.broadcast(
+            self.clients[0].live_state(),
+            kind=KIND_WEIGHTS,
+            into=[c.live_state() for c in self.clients],
+        )
 
     def eval_logits(self, clients: Sequence[Client], graph: GraphUnion) -> Tensor:
         """Stacked logits of one group of identically-weighted clients.
@@ -626,9 +628,11 @@ class FederatedTrainer:
                 with tracer.span("aggregate", round=round_idx, phase="aggregate") as sp_agg:
                     global_state = self.aggregate()
                     if global_state is not None:
-                        broadcast = self.comm.broadcast(global_state, kind=KIND_WEIGHTS)
-                        for client, state in zip(self.clients, broadcast):
-                            client.set_state(state)
+                        self.comm.broadcast(
+                            global_state,
+                            kind=KIND_WEIGHTS,
+                            into=[c.live_state() for c in self.clients],
+                        )
                     self.comm.end_round()
 
                 if round_idx % cfg.eval_every == 0:

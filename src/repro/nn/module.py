@@ -3,8 +3,12 @@
 The federated runtime relies on two contracts here:
 
 * ``state_dict()`` / ``load_state_dict()`` move *values* (plain ndarrays,
-  copied) in and out — this is exactly what FedAvg averages and what the
-  simulated network transports, so payload sizes can be metered.
+  copied) in and out — snapshots, checkpoints and FedSage+'s generator
+  averaging.  The federated rounds themselves move weights without
+  either: a client uploads its live parameter arrays
+  (``Client.live_state()``), which the channel deep-copies once, and
+  the global model is written straight into every client's live arrays
+  by ``Communicator.broadcast(..., into=...)``.
 * ``parameters()`` yields live :class:`Parameter` objects in a stable
   order for the optimizers.
 """
@@ -96,18 +100,25 @@ class Module:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load values in-place (the FL 'download global model' step)."""
+        """Load values in place, all or nothing.
+
+        Every key and shape is checked before any parameter is written,
+        so a failed load leaves the model exactly as it was.
+        """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
         if strict and (missing or unexpected):
             raise KeyError(f"state mismatch: missing={sorted(missing)} unexpected={sorted(unexpected)}")
+        updates = []
         for name, p in own.items():
             if name in state:
                 val = np.asarray(state[name], dtype=p.data.dtype)
                 if val.shape != p.data.shape:
                     raise ValueError(f"shape mismatch for {name}: {val.shape} vs {p.data.shape}")
-                p.data[...] = val
+                updates.append((p.data, val))
+        for dst, val in updates:
+            dst[...] = val
 
     # -- gradients ------------------------------------------------------------
     def zero_grad(self) -> None:

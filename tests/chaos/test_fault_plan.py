@@ -175,6 +175,50 @@ class TestPayloadHelpers:
         assert payload_is_finite(None)
 
 
+NAN, INF = float("nan"), float("inf")
+FINITE_TABLE = [
+    # (payload, finite)
+    *[(np.array([1.0, -2.0], dtype=dt), True) for dt in (np.float16, np.float32, np.float64)],
+    *[(np.array([1.0, v], dtype=dt), False) for dt in (np.float16, np.float32, np.float64)
+      for v in (NAN, INF, -INF)],
+    (np.array([1 + 2j, -3j]), True),
+    (np.array([1 + 2j, complex(NAN, 0)]), False),
+    (np.array([1 + 2j, complex(0, INF)]), False),
+    (np.array([complex(-INF, 1)], dtype=np.complex64), False),
+    (complex(NAN), False),
+    (complex(0, -INF), False),
+    (np.complex128(INF), False),
+    (np.complex64(1 + 1j), True),
+    (1 + 1j, True),
+    (np.array([2**62, -(2**62)], dtype=np.int64), True),
+    (np.array([True, False]), True),
+    (np.array(NAN), False),
+    (np.array(3.0), True),
+    (np.array(complex(0, NAN)), False),
+    (np.zeros(0), True),
+    (np.zeros((0, 5), dtype=np.complex128), True),
+    ({"a": [complex(NAN)]}, False),
+    ({"a": {"b": (np.ones(2), [np.float32(NAN)])}}, False),
+    ({"a": {"b": (np.ones(2), [np.float32(1.0)])}, "c": ()}, True),
+    ([np.zeros(1), (np.array([-INF]),)], False),
+    (np.array([0.0, -0.0]), True),
+    (-0.0, True),
+    # Finite values whose sum overflows are still finite.
+    (np.array([1e308, 1e308, 1e308]), True),
+    (np.array([-1e308, -1e308], dtype=np.float64), True),
+    (np.array([6e4, 6e4], dtype=np.float16), True),
+    (NAN, False),
+    (np.float16(INF), False),
+    (3, True),
+    (None, True),
+]
+
+
+@pytest.mark.parametrize("payload,finite", FINITE_TABLE, ids=repr)
+def test_payload_is_finite_table(payload, finite):
+    assert payload_is_finite(payload) is finite
+
+
 class TestFaultyCommunicatorKinds:
     """`by_kind` attribution must stay exact through drop/corrupt faults."""
 

@@ -158,6 +158,34 @@ class TestCommunicator:
         assert comm.stats.uplink_bytes == 16
         assert comm.stats.downlink_bytes == 32
 
+    def test_allgather_sizes_each_payload_once(self, monkeypatch):
+        import repro.federated.comm as comm_mod
+
+        m = 50
+        calls = []
+        real = comm_mod.payload_bytes
+
+        def counting(payload):
+            calls.append(1)
+            return real(payload)
+
+        monkeypatch.setattr(comm_mod, "payload_bytes", counting)
+        comm = Communicator(num_clients=m)
+        comm.allgather([np.zeros(i + 1) for i in range(m)], kind="means")
+        # M sizes metering the uplink, M sizing the gathered list once
+        # (not once per receiver: M + M² = 2550).
+        assert len(calls) == 2 * m
+        total = 8 * sum(range(1, m + 1))
+        assert comm.stats.uplink_bytes == total
+        assert comm.stats.downlink_bytes == m * total
+        assert comm.stats.uplink_messages == comm.stats.downlink_messages == m
+        assert comm.stats.kind("means") == {
+            "uplink_bytes": total,
+            "downlink_bytes": m * total,
+            "uplink_messages": m,
+            "downlink_messages": m,
+        }
+
     def test_round_counter(self):
         comm = Communicator(num_clients=1)
         comm.end_round()

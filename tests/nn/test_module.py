@@ -105,6 +105,20 @@ class TestStateDict:
         with pytest.raises(ValueError):
             m.load_state_dict(sd)
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_failed_load_changes_nothing(self, strict):
+        # A shape error on a later parameter used to raise after the
+        # earlier ones were already overwritten.
+        m = TwoLayer()
+        before = {n: p.data.copy() for n, p in m.named_parameters()}
+        sd = {n: np.full_like(v, 7.0) for n, v in before.items()}
+        assert list(sd)[-1] == "fc2.bias"
+        sd["fc2.bias"] = np.zeros(4)  # the last parameter in load order
+        with pytest.raises(ValueError, match="fc2.bias"):
+            m.load_state_dict(sd, strict=strict)
+        for n, p in m.named_parameters():
+            assert p.data.tobytes() == before[n].tobytes(), n
+
 
 class TestTrainEval:
     def test_train_eval_recursive(self):
